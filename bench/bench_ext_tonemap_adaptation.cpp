@@ -53,8 +53,8 @@ RunResult run_case(double mean_good_s, bool adaptation_enabled,
       network.scheduler(), frame_template,
       [&sender](frames::EthernetFrame frame) {
         sender.host_send(std::move(frame));
-        return sender.tx_backlog_pbs();
       },
+      [&sender] { return sender.tx_backlog_pbs(); },
       256);
 
   network.start();

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
         network.scheduler(), frames,
         [station](plc::frames::EthernetFrame frame) {
           station->host_send(std::move(frame));
-          return station->tx_backlog_pbs();
         },
+        [station] { return station->tx_backlog_pbs(); },
         /*target_backlog=*/128));
     sources.back()->start();
   }

@@ -101,6 +101,31 @@ sys.exit(0 if ok else 1)
 EOF
 fi
 
+# Absolute analytic-model budgets: the decoupled 1901 fixed point builds
+# its stage sums in one incremental pass over the binomial pmf row, so a
+# CA1 solve takes ~0.1-0.2 ms and e21's window search well under 1 ms.
+# The ceilings leave >= 5x headroom over that and sit >= 5x under the
+# per-b lgamma/exp evaluation they replaced (~4-6 ms and ~30-50 ms), so
+# a return to it fails here whatever the baseline says.
+if [ -f "$KERNEL_REPORT" ]; then
+  python3 - "$KERNEL_REPORT" <<'EOF'
+import json, sys
+scalars = json.load(open(sys.argv[1]))["scalars"]
+budgets_ms = {
+    "BM_Model1901Solve/10.real_time_s_per_iter": 1.0,
+    "BM_BestUniformWindow/5.real_time_s_per_iter": 5.0,
+}
+failed = False
+for name, budget in budgets_ms.items():
+    value = 1e3 * scalars[name]
+    ok = value < budget
+    print(f"bench_gate: {name} = {value:.3f} ms (budget < {budget:g} ms)"
+          f"{'' if ok else '  FAIL'}")
+    failed |= not ok
+sys.exit(1 if failed else 0)
+EOF
+fi
+
 # Absolute serve-daemon budgets: a warmed store must make the job API
 # dramatically faster than simulating (p50 ratio >= 10x — the contract
 # the ISSUE's warm-path design exists for) and the daemon must sustain a

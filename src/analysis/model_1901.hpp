@@ -13,7 +13,9 @@
 //   - the station transmits iff fewer than d_i + 1 of its b countdown
 //     events are busy:  P(tx | b) = P(Bin(b, p) <= d_i);
 //   - otherwise it jumps to stage i+1 at the (d_i+1)-th busy event.
-// Exact per-stage quantities follow by summing binomial CDFs:
+// Exact per-stage quantities are averages of the binomial CDF sequence
+// F_b = P(Bin(b, p) <= d_i) over b, built in one incremental pass over the
+// pmf row (O(CW_i * d_i) multiply-adds; closed forms once d_i >= CW_i - 1):
 //   x_i = attempt probability, S_i = expected countdown events per visit.
 // A renewal cycle (success to success) visits stages 0,1,... with the
 // last stage self-looping; tau = E[attempts]/E[events] over the cycle, and

@@ -367,6 +367,14 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
       const int n = spec.stations[point];
       const std::string prefix = scalar_prefix(label, n);
       std::vector<std::string> row = {std::to_string(n)};
+      // One solve per point, shared by the drift scalars and the model
+      // leg; skipped when neither reads it.
+      const bool observed = spec.legs.sim &&
+          summaries[variant * points + point].stations.has_value();
+      const std::optional<mac::MacModelResult> model =
+          spec.legs.model || observed
+              ? solve_model(mac, n, spec.timing, spec.frame_length)
+              : std::nullopt;
 
       if (spec.legs.sim) {
         const sim::RunSummary& summary = summaries[variant * points + point];
@@ -390,18 +398,16 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
           // divergence at small N is the paper's coupling story. MACs
           // whose solver has no per-stage analysis (DCF) — or no solver
           // at all — record empirical frequencies only.
-          std::vector<double> stage_model;
-          if (const std::optional<mac::MacModelResult> model =
-                  solve_model(mac, n, spec.timing, spec.frame_length)) {
-            stage_model = model->stage_attempt_probability;
-          }
+          const std::size_t modeled =
+              model ? model->stage_attempt_probability.size() : 0;
           for (std::size_t s = 0; s < stations.per_stage.size(); ++s) {
             const std::string stage =
                 prefix + "obs.stage" + std::to_string(s) + ".";
             report.scalars[stage + "attempt_freq"] =
                 stations.per_stage[s].attempt_freq();
-            if (s < stage_model.size()) {
-              report.scalars[stage + "attempt_model"] = stage_model[s];
+            if (s < modeled) {
+              report.scalars[stage + "attempt_model"] =
+                  model->stage_attempt_probability[s];
             }
           }
         } else if (spec.observatory) {
@@ -410,8 +416,7 @@ RunOutcome run_scenario(const Spec& spec, const RunOptions& options) {
       }
 
       if (spec.legs.model) {
-        if (const std::optional<mac::MacModelResult> model =
-                solve_model(mac, n, spec.timing, spec.frame_length)) {
+        if (model) {
           report.scalars[prefix + "model_collision_probability"] =
               model->collision_probability;
           report.scalars[prefix + "model_throughput"] = model->throughput;

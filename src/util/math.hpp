@@ -1,9 +1,10 @@
 // Numerically robust combinatorial helpers used by the analytical models.
 //
-// The 1901 decoupling model (analysis/model_1901) evaluates binomial tail
-// probabilities P(Bin(n, p) <= k) for n up to the largest contention window
-// (the framework allows CW values far beyond the standard's 64), so all
-// probability mass functions are computed in the log domain.
+// The binomial pmf/cdf work in the log domain, so n may reach the largest
+// contention window (the framework allows CW values far beyond the
+// standard's 64) without overflow. They evaluate one point each; the 1901
+// decoupling model (analysis/model_1901) needs whole CDF sequences over n
+// and builds them incrementally instead, with these as its test oracle.
 #pragma once
 
 #include <cstdint>

@@ -16,9 +16,12 @@
 
 namespace plc::workload {
 
-/// Receives generated frames. Returns the sink's current backlog in
-/// frames, letting saturating sources pace themselves.
-using FrameSink = std::function<std::size_t(frames::EthernetFrame)>;
+/// Receives generated frames.
+using FrameSink = std::function<void(frames::EthernetFrame)>;
+
+/// Reads the sink's current backlog (in the sink's own units, e.g. frames
+/// or physical blocks), letting saturating sources pace themselves.
+using BacklogProbe = std::function<std::size_t()>;
 
 /// Shape of the generated frames (a UDP-like payload).
 struct FrameTemplate {
@@ -30,13 +33,16 @@ struct FrameTemplate {
   frames::EthernetFrame make(std::uint32_t sequence) const;
 };
 
-/// Keeps the sink backlog at `target_backlog` frames: checks every
-/// `poll_interval` and refills. This models an application-layer iperf-
-/// style flood whose socket buffer never empties.
+/// Keeps the sink backlog at `target_backlog`: reads it every
+/// `poll_interval` and pushes frames only while it is below target, so
+/// the backlog never exceeds the target by more than one frame. This
+/// models an application-layer iperf-style flood whose socket buffer
+/// never empties.
 class SaturatedSource {
  public:
   SaturatedSource(des::Scheduler& scheduler, FrameTemplate frame_template,
-                  FrameSink sink, std::size_t target_backlog = 32,
+                  FrameSink sink, BacklogProbe backlog,
+                  std::size_t target_backlog = 32,
                   des::SimTime poll_interval = des::SimTime::from_us(500));
 
   /// Starts generation (first refill immediately).
@@ -50,6 +56,7 @@ class SaturatedSource {
   des::Scheduler& scheduler_;
   FrameTemplate template_;
   FrameSink sink_;
+  BacklogProbe backlog_;
   std::size_t target_backlog_;
   des::SimTime poll_interval_;
   std::int64_t frames_generated_ = 0;

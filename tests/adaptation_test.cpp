@@ -144,8 +144,8 @@ struct AdaptationFixture {
         network.scheduler(), frame_template,
         [this](frames::EthernetFrame frame) {
           sender->host_send(std::move(frame));
-          return sender->tx_backlog_pbs();
         },
+        [this] { return sender->tx_backlog_pbs(); },
         256);
   }
 

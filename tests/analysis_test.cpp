@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,11 +13,14 @@
 #include "analysis/model_1901.hpp"
 #include "analysis/model_dcf.hpp"
 #include "analysis/optimizer.hpp"
+#include "des/random.hpp"
 #include "phy/timing.hpp"
+#include "scenario/registry.hpp"
 #include "sim/sim_1901.hpp"
 #include "sim/slot_simulator.hpp"
 #include "sim/unsaturated.hpp"
 #include "util/error.hpp"
+#include "util/math.hpp"
 
 namespace plc::analysis {
 namespace {
@@ -84,6 +90,178 @@ TEST(StageMath, RejectsBadArguments) {
   EXPECT_THROW(stage_attempt_probability(0, 0, 0.5), plc::Error);
   EXPECT_THROW(stage_attempt_probability(8, -1, 0.5), plc::Error);
   EXPECT_THROW(stage_expected_countdown(8, 0, -0.1), plc::Error);
+}
+
+// --- Oracle: the per-b binomial_cdf evaluation ------------------------------------
+//
+// The stage sums as first written (every F_b = P(Bin(b, p) <= dc) rebuilt
+// from lgamma/exp pmfs), with the renewal cycle and the bisection around
+// them: a slow reference that the incremental pass in model_1901.cpp must
+// reproduce.
+namespace oracle {
+
+double stage_attempt(int cw, int dc, double p) {
+  double sum = 0.0;
+  for (int b = 0; b < cw; ++b) sum += util::binomial_cdf(b, dc, p);
+  return sum / static_cast<double>(cw);
+}
+
+double stage_countdown(int cw, int dc, double p) {
+  double sum = 0.0;
+  for (int k = 0; k + 1 < cw; ++k) {
+    sum += static_cast<double>(cw - 1 - k) * util::binomial_cdf(k, dc, p);
+  }
+  return sum / static_cast<double>(cw);
+}
+
+double tau_given_busy(const mac::BackoffConfig& config, double p) {
+  double attempts = 0.0;
+  double events = 0.0;
+  double entering = 1.0;
+  for (std::size_t i = 0; i + 1 < config.cw.size(); ++i) {
+    const double x = stage_attempt(config.cw[i], config.dc[i], p);
+    const double s = stage_countdown(config.cw[i], config.dc[i], p);
+    attempts += entering * x;
+    events += entering * (s + x);
+    entering *= 1.0 - x * (1.0 - p);
+  }
+  const double x = stage_attempt(config.cw.back(), config.dc.back(), p);
+  const double s = stage_countdown(config.cw.back(), config.dc.back(), p);
+  const double leave = x * (1.0 - p);
+  if (leave < 1e-12) return x / (s + x);
+  const double last_visits = entering / leave;
+  return (attempts + last_visits * x) / (events + last_visits * (s + x));
+}
+
+Model1901Result solve(int n, const mac::BackoffConfig& config) {
+  Model1901Result result;
+  const double stations = static_cast<double>(n);
+  if (n == 1) {
+    result.tau = tau_given_busy(config, 0.0);
+  } else {
+    const auto busy = [stations](double tau) {
+      return 1.0 - std::pow(1.0 - tau, stations - 1);
+    };
+    result.tau = util::bisect(
+        [&](double tau) { return tau_given_busy(config, busy(tau)) - tau; },
+        1e-12, 1.0 - 1e-12, 1e-14, 200);
+    result.gamma = busy(result.tau);
+  }
+  result.p_idle = std::pow(1.0 - result.tau, stations);
+  result.p_success =
+      stations * result.tau * std::pow(1.0 - result.tau, stations - 1);
+  result.p_collision =
+      std::max(0.0, 1.0 - result.p_idle - result.p_success);
+  return result;
+}
+
+int best_uniform_window(int n) {
+  int best_window = 0;
+  double best_throughput = -1.0;
+  for (int w = 2; w <= 4096; w = std::max(w + 1, w + w / 16)) {
+    mac::BackoffConfig config;
+    config.cw = {w};
+    config.dc = {mac::kDeferralDisabled};
+    const double throughput =
+        solve(n, config).normalized_throughput(kTiming, kFrame);
+    if (throughput > best_throughput) {
+      best_window = w;
+      best_throughput = throughput;
+    }
+  }
+  return best_window;
+}
+
+}  // namespace oracle
+
+::testing::AssertionResult RelativelyClose(double actual, double expected,
+                                           double tolerance) {
+  const double scale = std::max(std::fabs(expected), 1e-300);
+  if (std::fabs(actual - expected) <= tolerance * scale) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << std::setprecision(17) << actual << " vs oracle " << expected
+         << " (relative error " << std::fabs(actual - expected) / scale
+         << ")";
+}
+
+TEST(StageMathOracle, StageSumsMatchPerBinomialCdfSums) {
+  for (const int cw : {1, 2, 3, 8, 16, 64, 512, 4096}) {
+    for (const int dc : {0, 1, 3, 15, 31, mac::kDeferralDisabled}) {
+      for (const double p : {0.0, 1e-6, 0.01, 0.3, 0.77, 0.99, 1.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "cw=" << cw << " dc=" << dc << " p=" << p);
+        EXPECT_TRUE(RelativelyClose(stage_attempt_probability(cw, dc, p),
+                                    oracle::stage_attempt(cw, dc, p),
+                                    1e-12));
+        EXPECT_TRUE(RelativelyClose(stage_expected_countdown(cw, dc, p),
+                                    oracle::stage_countdown(cw, dc, p),
+                                    1e-12));
+      }
+    }
+  }
+}
+
+TEST(StageMathOracle, ClosedFormsAreExactWhenDeferralCannotFire) {
+  // dc >= CW-1: the exact integer sums, so the same doubles as the
+  // per-b evaluation, not merely close ones.
+  for (const int cw : {1, 2, 3, 8, 64, 4096}) {
+    for (const int dc : {cw - 1, cw, mac::kDeferralDisabled}) {
+      for (const double p : {0.0, 0.3, 1.0}) {
+        EXPECT_EQ(stage_attempt_probability(cw, dc, p),
+                  oracle::stage_attempt(cw, dc, p));
+        EXPECT_EQ(stage_expected_countdown(cw, dc, p),
+                  oracle::stage_countdown(cw, dc, p));
+      }
+    }
+  }
+}
+
+TEST(Model1901Oracle, RegistryConfigsMatchOracle) {
+  int configs = 0;
+  for (const std::string& name : scenario::Registry::names()) {
+    const scenario::Spec spec = scenario::Registry::get(name);
+    for (const scenario::MacVariant& variant : spec.macs) {
+      const mac::BackoffConfig* config = variant.mac.backoff_config();
+      if (config == nullptr) continue;
+      ++configs;
+      for (int n = 1; n <= 50; ++n) {
+        SCOPED_TRACE(::testing::Message()
+                     << name << "/" << variant.label << " n=" << n);
+        const Model1901Result fast = solve_1901(n, *config);
+        const Model1901Result slow = oracle::solve(n, *config);
+        EXPECT_TRUE(RelativelyClose(fast.tau, slow.tau, 1e-12));
+        EXPECT_TRUE(RelativelyClose(fast.gamma, slow.gamma, 1e-12));
+      }
+    }
+  }
+  EXPECT_GE(configs, 5);
+}
+
+TEST(Model1901Oracle, RandomSchedulesMatchOracle) {
+  des::RandomStream rng(0x0AC1E);
+  for (int trial = 0; trial < 200; ++trial) {
+    mac::BackoffConfig config;
+    const int stages = rng.uniform_int(1, 5);
+    for (int i = 0; i < stages; ++i) {
+      // Log-uniform windows in [1, 256] (the stage-sum grid above covers
+      // larger ones); deferral counters from 0 up to past the window, or
+      // disabled.
+      const int cw = static_cast<int>(std::exp2(8.0 * rng.uniform()));
+      const int dc = rng.bernoulli(0.1)
+                         ? mac::kDeferralDisabled
+                         : rng.uniform_int(0, std::min(cw + 1, 33));
+      config.cw.push_back(cw);
+      config.dc.push_back(dc);
+    }
+    const int n = rng.uniform_int(1, 50);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " n=" << n);
+    const Model1901Result fast = solve_1901(n, config);
+    const Model1901Result slow = oracle::solve(n, config);
+    EXPECT_TRUE(RelativelyClose(fast.tau, slow.tau, 1e-12));
+    EXPECT_TRUE(RelativelyClose(fast.gamma, slow.gamma, 1e-12));
+  }
 }
 
 // --- Decoupling model -----------------------------------------------------------------
@@ -599,6 +777,16 @@ TEST(Optimizer, BestUniformWindowGrowsWithN) {
   ASSERT_EQ(few.config.cw.size(), 1u);
   ASSERT_EQ(many.config.cw.size(), 1u);
   EXPECT_GT(many.config.cw[0], few.config.cw[0]);
+}
+
+TEST(Optimizer, BestUniformWindowMatchesOracle) {
+  // The chosen window feeds boosted-cw's canonical spec and so its store
+  // key: it must be exactly the oracle's.
+  for (int n = 1; n <= 64; ++n) {
+    EXPECT_EQ(best_uniform_window(n, kTiming, kFrame).config.cw[0],
+              oracle::best_uniform_window(n))
+        << "n=" << n;
+  }
 }
 
 TEST(Optimizer, BestUniformWindowPredictionValidatedBySimulation) {

@@ -122,16 +122,16 @@ TEST(Device, CountersMatchDomainGroundTruth) {
   workload::SaturatedSource sa(network.scheduler(), ta,
                                [&a](frames::EthernetFrame f) {
                                  a.host_send(f);
-                                 return a.tx_backlog_pbs();
                                },
+                               [&a] { return a.tx_backlog_pbs(); },
                                128);
   workload::FrameTemplate tb = ta;
   tb.source = b.mac();
   workload::SaturatedSource sb(network.scheduler(), tb,
                                [&b](frames::EthernetFrame f) {
                                  b.host_send(f);
-                                 return b.tx_backlog_pbs();
                                },
+                               [&b] { return b.tx_backlog_pbs(); },
                                128);
   sa.start();
   sb.start();
@@ -180,6 +180,8 @@ TEST(Device, BurstsHaveUniformShapeUnderSaturation) {
   workload::SaturatedSource source(network.scheduler(), t,
                                    [&sender](frames::EthernetFrame f) {
                                      sender.host_send(f);
+                                   },
+                                   [&sender] {
                                      return sender.tx_backlog_pbs();
                                    },
                                    128);

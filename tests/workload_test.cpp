@@ -1,4 +1,7 @@
+#include <algorithm>
+#include <cstdint>
 #include <deque>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -39,8 +42,8 @@ TEST(Saturated, KeepsBacklogAboveTarget) {
       scheduler, make_template(),
       [&queue](frames::EthernetFrame frame) {
         queue.push_back(std::move(frame));
-        return queue.size();
       },
+      [&queue] { return queue.size(); },
       /*target_backlog=*/16, des::SimTime::from_us(100.0));
   source.start();
   // Consume 5 frames per 100 us; the source must keep up.
@@ -52,6 +55,40 @@ TEST(Saturated, KeepsBacklogAboveTarget) {
   EXPECT_GT(source.frames_generated(), 400);
 }
 
+TEST(Saturated, BacklogNeverExceedsTargetPlusOneFrame) {
+  // A sink counted in physical blocks, three per frame, drained more
+  // slowly than one frame per poll: a source that pushed before reading
+  // the backlog would grow it by ~3 PBs per millisecond without bound.
+  constexpr std::size_t kPbsPerFrame = 3;
+  constexpr std::size_t kTarget = 32;
+  des::Scheduler scheduler;
+  std::size_t backlog = 0;
+  std::size_t peak = 0;
+  std::int64_t drained = 0;
+  SaturatedSource source(
+      scheduler, make_template(),
+      [&](frames::EthernetFrame) {
+        backlog += kPbsPerFrame;
+        peak = std::max(peak, backlog);
+      },
+      [&] { return backlog; }, kTarget);
+  std::function<void()> drain = [&] {
+    const std::size_t burst = std::min<std::size_t>(backlog, 7);
+    backlog -= burst;
+    drained += static_cast<std::int64_t>(burst);
+    scheduler.schedule(des::SimTime::from_us(2300.0), drain);
+  };
+  scheduler.schedule(des::SimTime::from_us(2300.0), drain);
+  source.start();
+  scheduler.run_until(des::SimTime::from_seconds(10.0));
+  EXPECT_LE(peak, kTarget + kPbsPerFrame);
+  EXPECT_GE(backlog, kTarget - 7);  // Still saturated after the last drain.
+  // Every generated frame is either drained or still queued.
+  EXPECT_EQ(source.frames_generated() * static_cast<std::int64_t>(kPbsPerFrame),
+            drained + static_cast<std::int64_t>(backlog));
+  EXPECT_GT(drained, 30'000);
+}
+
 TEST(Poisson, RateIsStatisticallyCorrect) {
   des::Scheduler scheduler;
   std::int64_t arrivals = 0;
@@ -59,7 +96,6 @@ TEST(Poisson, RateIsStatisticallyCorrect) {
       scheduler, make_template(),
       [&arrivals](frames::EthernetFrame) {
         ++arrivals;
-        return std::size_t{0};
       },
       /*rate_fps=*/1000.0, des::RandomStream(7));
   source.start();
@@ -75,7 +111,6 @@ TEST(Poisson, StopHaltsArrivals) {
       scheduler, make_template(),
       [&arrivals](frames::EthernetFrame) {
         ++arrivals;
-        return std::size_t{0};
       },
       1000.0, des::RandomStream(8));
   source.start();
@@ -93,7 +128,6 @@ TEST(OnOff, GeneratesOnlyDuringOnPeriods) {
       scheduler, make_template(),
       [&arrivals](frames::EthernetFrame) {
         ++arrivals;
-        return std::size_t{0};
       },
       /*on_rate_fps=*/1000.0, des::SimTime::from_seconds(0.5),
       des::SimTime::from_seconds(0.5), des::RandomStream(9));
@@ -106,8 +140,11 @@ TEST(OnOff, GeneratesOnlyDuringOnPeriods) {
 
 TEST(Sources, ValidateArguments) {
   des::Scheduler scheduler;
-  const auto sink = [](frames::EthernetFrame) { return std::size_t{0}; };
-  EXPECT_THROW(SaturatedSource(scheduler, make_template(), sink, 0),
+  const auto sink = [](frames::EthernetFrame) {};
+  const auto backlog = [] { return std::size_t{0}; };
+  EXPECT_THROW(SaturatedSource(scheduler, make_template(), sink, backlog, 0),
+               plc::Error);
+  EXPECT_THROW(SaturatedSource(scheduler, make_template(), sink, nullptr),
                plc::Error);
   EXPECT_THROW(PoissonSource(scheduler, make_template(), sink, 0.0,
                              des::RandomStream(1)),
