@@ -915,6 +915,10 @@ int cmd_serve(const Args& args) {
   options.cache_dir = args.get_string("cache", "");
   options.queue_file = args.get_string("queue-file", "");
 
+  // Install the handlers before the banner: a harness may signal as soon
+  // as it has read the port, and the default action would skip the drain.
+  std::signal(SIGTERM, handle_serve_signal);
+  std::signal(SIGINT, handle_serve_signal);
   serve::Server server(options);
   server.start();
   const std::string url = "http://" + options.bind_address + ":" +
@@ -944,8 +948,6 @@ int cmd_serve(const Args& args) {
   }
   std::fflush(stdout);
 
-  std::signal(SIGTERM, handle_serve_signal);
-  std::signal(SIGINT, handle_serve_signal);
   while (g_serve_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
